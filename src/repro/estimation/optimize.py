@@ -30,8 +30,9 @@ draws:
 
 Results are memoized per ``(sampler, n_samples, seed, k, knobs)``
 through :func:`repro.store.cached_batch` — the sampler dataclass is
-its own cache fingerprint — so warm replays answer from the store with
-zero optimizer iterations while still replaying solver status.
+its own cache fingerprint — so a warm replay answers from the store
+running zero optimizer iterations, and reports the stored iteration
+count and solver status of the cold solve.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class SampleCapacityResult:
     k:
         kNN neighbour order.
     iterations:
-        Optimizer iterations executed (0 on a warm store replay).
+        Optimizer iterations the solve ran. A warm store replay runs
+        none and reports the stored count of the cold solve.
     status:
         Terminal :class:`repro.numerics.SolverStatus` of the search.
     split_estimates:
@@ -332,8 +334,8 @@ def estimate_sample_capacity(
     the full recipe). Deterministic: the same ``(sampler, n_samples,
     seed, k, knobs)`` always returns a bit-identical result, and when
     a result store is active the whole solve memoizes on exactly that
-    tuple — a warm call replays from the store with zero optimizer
-    iterations.
+    tuple — a warm call replays from the store running zero optimizer
+    iterations, and its ``iterations`` field reports the stored count.
 
     Parameters
     ----------

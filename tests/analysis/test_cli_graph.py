@@ -7,6 +7,8 @@ whole-program analysis on real code.
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -51,8 +53,12 @@ def test_graph_why_prints_witness(capsys):
     assert "└─" in out
 
 
-def test_graph_why_unreachable_exits_one(capsys):
-    assert main(["graph", "why", "blahut_arimoto", "clock"]) == 1
+@pytest.mark.parametrize(
+    "function,effect",
+    [("blahut_arimoto", "clock"), ("blahut_arimoto_batch", "env")],
+)
+def test_graph_why_unreachable_exits_one(capsys, function, effect):
+    assert main(["graph", "why", function, effect]) == 1
     assert "does not transitively reach" in capsys.readouterr().out
 
 
