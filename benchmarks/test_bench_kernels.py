@@ -9,14 +9,17 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.bounds.deletion import block_mutual_information_bound
 from repro.coding.forward_backward import DriftChannelModel
 from repro.core.events import ChannelParameters
 from repro.infotheory.blahut_arimoto import blahut_arimoto
 from repro.infotheory.channels import m_ary_symmetric_channel
-from repro.infotheory.kernels import blahut_arimoto_batch
+from repro.infotheory.kernels import (
+    blahut_arimoto_batch,
+    penalized_blahut_arimoto_batch,
+)
+from repro.numerics import masked_log2, normalized_exp2, safe_log2
 from repro.sync.feedback import CounterProtocol
 
 #: CI smoke mode: tiny sizes, no speedup thresholds (see ci.yml).
@@ -130,6 +133,75 @@ def test_bench_blahut_arimoto_batched_vs_serial(benchmark):
           f"batched {batch_seconds * 1e3:.2f} ms = {speedup:.1f}x")
     if not _SMOKE:
         assert speedup >= 3.0, f"batching speedup only {speedup:.1f}x"
+
+
+def _penalized_reference(stack, penalties, *, tol, max_iter):
+    """The penalized BA solve one channel at a time, in the direct
+    ``sum_y W (log2 W - log2 q)`` arithmetic of the pre-row-entropy
+    kernel: returns ``(inputs, converged, iterations)``."""
+    log_w = masked_log2(stack)
+    k, nx, _ny = stack.shape
+    inputs = np.empty((k, nx))
+    converged = np.zeros(k, dtype=bool)
+    iterations = np.zeros(k, dtype=np.int64)
+    for i in range(k):
+        p = np.full(nx, 1.0 / nx)
+        for it in range(1, max_iter + 1):
+            q = p @ stack[i]
+            d = np.einsum(
+                "xy,xy->x", stack[i], log_w[i] - safe_log2(q)[None, :]
+            ) - penalties[i]
+            if d.max() - p @ d < tol:
+                converged[i] = True
+                break
+            if it == max_iter:
+                break
+            p = normalized_exp2(safe_log2(p) + d)
+        inputs[i], iterations[i] = p, it
+    return inputs, converged, iterations
+
+
+def test_bench_penalized_blahut_arimoto_batch(benchmark):
+    """The timed-DMC inner kernel on a stack of penalized channels.
+
+    Report-only: times the batched penalized solve via the benchmark
+    fixture and prints its ratio to the serial reference, with no
+    speed threshold. Checks 1e-12 parity of the maximizing inputs, and
+    equal convergence flags and iteration counts, against the serial
+    reference in the direct arithmetic.
+    """
+    k = 8 if _SMOKE else 48
+    nx, ny = 8, 10
+    rng = np.random.default_rng(6)
+    stack = rng.random((k, nx, ny))
+    stack /= stack.sum(axis=2, keepdims=True)
+    # lambda * tau of a Dinkelbach step: a rate guess times durations.
+    penalties = 0.3 * rng.uniform(1.0, 3.0, (k, nx))
+    tol, max_iter = 1e-11, 5000
+
+    batch = benchmark.pedantic(
+        lambda: penalized_blahut_arimoto_batch(
+            stack, penalties, tol=tol, max_iter=max_iter
+        ),
+        rounds=5,
+        iterations=1,
+    )
+    t0 = time.perf_counter()
+    inputs, converged, iterations = _penalized_reference(
+        stack, penalties, tol=tol, max_iter=max_iter
+    )
+    serial_seconds = time.perf_counter() - t0
+    np.testing.assert_allclose(
+        batch.input_distribution, inputs, atol=1e-12, rtol=0
+    )
+    np.testing.assert_array_equal(batch.converged, converged)
+    np.testing.assert_array_equal(batch.iterations, iterations)
+    batch_seconds = benchmark.stats.stats.min
+    print(f"\nserial reference {serial_seconds * 1e3:.2f} ms / "
+          f"batched {batch_seconds * 1e3:.2f} ms = "
+          f"{serial_seconds / batch_seconds:.1f}x "
+          f"({int(converged.sum())}/{k} converged, "
+          f"max {int(iterations.max())} iterations)")
 
 
 def test_bench_block_bound(benchmark):

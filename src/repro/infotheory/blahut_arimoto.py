@@ -6,7 +6,9 @@ the channel capacity ``C = max_{p(x)} I(X; Y)``. It is the numerical
 workhorse used to cross-check every closed-form capacity in this package
 (erasure channels, M-ary symmetric converted channels, Z-channels, ...).
 
-The iteration runs under a :class:`repro.numerics.IterationGuard`: a
+Each iteration is the shared step of :mod:`repro.infotheory.kernels`
+(the same arithmetic the batched solvers run), validated once at entry
+and driven by a :class:`repro.numerics.IterationGuard`: a
 NaN/Inf, divergence, or stall in an extreme regime (``P_d -> 1``,
 near-degenerate transition rows) terminates with an honest
 :class:`repro.numerics.SolverStatus` and the best-so-far estimate
@@ -31,13 +33,11 @@ from ..numerics import (
     SolverDiagnostics,
     SolverStatus,
     degrade_gracefully,
-    masked_log2,
-    normalized_exp2,
     record_status,
-    safe_log2,
     stage,
 )
 from ..store import cached_solve
+from .kernels import _ba_step, _row_entropy_term
 
 __all__ = [
     "BlahutArimotoResult",
@@ -154,7 +154,7 @@ def blahut_arimoto(
             # strictly positive start point passes through untouched.
             p = (p + 1e-12) / (p + 1e-12).sum()
 
-    log_w = masked_log2(w)
+    c = _row_entropy_term(w)
 
     guard = IterationGuard(
         "blahut_arimoto", max_iter=max_iter, tol=tol, stall_window=200
@@ -164,19 +164,14 @@ def blahut_arimoto(
     status: Optional[SolverStatus] = None
     with stage("solver"):
         while status is None:
-            q = p @ w  # output distribution, shape (ny,)
-            # D(W(.|x) || q) for each x, in bits.
-            log_q = safe_log2(q)
-            d = np.einsum("xy,xy->x", w, log_w - log_q[None, :])
-            capacity = float(p @ d)  # lower bound: I(p, W)
-            upper = float(d.max())  # upper bound on C
-            gap = upper - capacity
+            # Lower bound I(p, W), duality gap max_x D(W(.|x) || pW) - I,
+            # and the multiplicative update p_{t+1}(x) ∝ p_t(x) 2^D.
+            value, step_gap, p_next = _ba_step(p, w, c)
+            capacity = float(value)
+            gap = float(step_gap)
             status = guard.update(gap, value=(capacity, p))
             if status is not None:
                 break
-            # Multiplicative update p_{t+1}(x) ∝ p_t(x) 2^{D(W(.|x)||q)},
-            # computed as a stabilized base-2 softmax.
-            p_next = normalized_exp2(safe_log2(p) + d)
             if damping > 0.0:
                 p_next = (1.0 - damping) * p_next + damping * p
             p = p_next

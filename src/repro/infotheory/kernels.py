@@ -1,48 +1,63 @@
-"""Batched multi-channel solver kernels (stack-of-channels Blahut-Arimoto).
+"""Blahut-Arimoto iteration kernels: one shared step, scalar and batched.
 
-Every bound sweep in this package — the E9 deletion grid, the indel
-``(P_d, P_i)`` grids, service query batches — evaluates the *same*
-algorithm over many small channels. Solving them one at a time pays the
-Python/numpy dispatch overhead per channel per iteration; these kernels
-instead operate on a ``(k, nx, ny)`` **stack** of transition matrices
-with one extra leading axis and einsum/broadcast throughout, so a
-k-channel sweep costs one well-vectorized iteration loop.
+Every Blahut-Arimoto (BA) solve in this package runs the same private
+iteration, :func:`_ba_step`: the scalar
+:func:`repro.infotheory.blahut_arimoto.blahut_arimoto`, the batched
+:func:`blahut_arimoto_batch` behind the E9 deletion grid, the indel
+``(P_d, P_i)`` grids and service query batches, and the penalized
+:func:`penalized_blahut_arimoto_batch` inside the timed-DMC Dinkelbach
+loop. The step takes one channel (``p`` of shape ``(nx,)``, ``W`` of
+shape ``(nx, ny)``) or a ``(k, nx, ny)`` **stack** with one extra
+leading axis.
 
-Per-channel convergence is tracked with boolean masks: channels that
-meet the duality-gap criterion freeze (their iterates stop updating and
-drop out of the arithmetic) while stragglers keep iterating — the
-kernel's cost tracks the *slowest* channel only in iteration count, not
-in per-iteration width. The guard semantics mirror
+The step rests on the row-entropy identity
+
+    D(W(.|x) || q) = c_x - sum_y W(y|x) log2 q(y),
+    c_x = sum_y W(y|x) log2 W(y|x),
+
+so ``c`` (:func:`_row_entropy_term`, from
+:func:`repro.numerics.masked_log2`) is computed once per solve, and an
+iteration is two matrix-vector products, two floored logs and a base-2
+softmax, with no ``(nx, ny)`` temporary. Inputs are validated once, at
+entry. Inside the loop ``q = pW`` and the softmax iterate ``p`` are
+non-negative by construction, so their logs go through the check-free
+:func:`repro.numerics.floored_log2` at ``LOG_FLOOR``. The penalized
+solve folds its per-input penalties into ``c``.
+
+In the batched kernels the active channels form a sub-stack that is
+re-sliced only when a channel terminates, and all of them share one
+iteration counter. Early finishers freeze while stragglers iterate, so
+a sweep's cost tracks its slowest channel in iteration count, not in
+per-iteration width. The guard semantics mirror
 :class:`repro.numerics.IterationGuard` exactly (aborted / converged /
-diverged / stalled / max-iter classification in that order, best-so-far
-fallback for non-converged channels), so a batched sweep reports the
-same solver health the scalar loop would.
-
-The O(k·nx·ny) inner primitive is one numpy einsum step
-(:func:`_divergence_step`) shared by both kernels. The scalar
-:func:`repro.infotheory.blahut_arimoto.blahut_arimoto` remains the
-reference oracle — the parity suite holds this kernel to 1e-12 against
-it per channel.
+diverged / stalled / max-iter classification in that order,
+best-so-far fallback for non-converged channels), so a batched sweep
+reports the same solver health the scalar loop would; the full
+classification runs only on iterations where a cheap test says some
+channel may be terminal. The parity suite holds the batched kernel to
+1e-12 against the scalar solver per channel, with identical iteration
+counts and statuses.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..numerics import (
     SolverDiagnostics,
     SolverStatus,
+    floored_log2,
     masked_log2,
-    normalized_exp2,
     record_status,
-    safe_log2,
     stage,
 )
-from .blahut_arimoto import BlahutArimotoResult
+
+if TYPE_CHECKING:
+    from .blahut_arimoto import BlahutArimotoResult
 
 __all__ = [
     "BATCH_SOLVER",
@@ -73,21 +88,48 @@ _SEVERITY = (
 )
 
 
-def _divergence_step(
-    p: np.ndarray, w: np.ndarray, log_w: np.ndarray
-) -> np.ndarray:
-    """Per-input divergence for every channel in a stack at once.
+def _row_entropy_term(w: np.ndarray) -> np.ndarray:
+    """``c_x = sum_y W(y|x) log2 W(y|x)`` for every input row of *w*.
 
-    ``q_k = p_k @ W_k`` then
-    ``d(k, x) = sum_y W_k(y|x) * (log2 W_k(y|x) - log2 q_k(y))`` with
-    shapes ``(k, nx), (k, nx, ny), (k, nx, ny) -> (k, nx)`` — the
-    O(k * nx * ny) inner loop of both kernels. ``log2 q`` is floored via
-    :func:`~repro.numerics.safe_log2`, so an underflowed output symbol
-    gives a large-but-finite divergence instead of ``inf``.
+    Shape ``w.shape[:-1]``. Structural zeros contribute nothing
+    (:func:`~repro.numerics.masked_log2` maps them to ``0.0``).
     """
-    q = np.einsum("kx,kxy->ky", p, w)
-    log_q = safe_log2(q)
-    return np.einsum("kxy,kxy->kx", w, log_w - log_q[:, None, :])
+    return np.einsum("...xy,...xy->...x", w, masked_log2(w))
+
+
+def _ba_step(
+    p: np.ndarray, w: np.ndarray, c: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Blahut-Arimoto iteration at *p*, for a channel or a stack.
+
+    Shapes ``p (nx,)``, ``w (nx, ny)``, ``c (nx,)`` for one channel,
+    or with a leading stack axis ``k`` on all three. Returns
+    ``(value, gap, p_next)``: with
+    ``d_x = c_x - sum_y W(y|x) log2 q(y)`` and ``q = pW``,
+    ``value = p . d`` is the lower bound ``I(p, W)``,
+    ``gap = max_x d_x - value`` the duality gap, and
+    ``p_next(x) ∝ p(x) 2^{d_x}`` the multiplicative update. ``value``
+    and ``gap`` are scalars for one channel and ``(k,)`` for a stack.
+
+    No domain checks: the callers validate ``W`` at entry, and ``q``
+    and ``p`` are non-negative by construction. The floored logs keep
+    ``d`` finite, so the softmax's largest term is ``2^0 = 1`` and its
+    normalizer never vanishes.
+    """
+    if p.ndim == 1:
+        q = p @ w
+        d = c - w @ floored_log2(q)
+        value = p @ d
+    else:
+        q = np.matmul(p[:, None, :], w)[:, 0, :]
+        d = c - np.matmul(w, floored_log2(q)[:, :, None])[:, :, 0]
+        value = np.einsum("kx,kx->k", p, d)
+    gap = d.max(axis=-1) - value
+    logits = floored_log2(p) + d
+    logits -= logits.max(axis=-1, keepdims=True)
+    p_next = np.exp2(logits, out=logits)
+    p_next /= p_next.sum(axis=-1, keepdims=True)
+    return value, gap, p_next
 
 
 def validate_transition_stack(transitions: np.ndarray) -> np.ndarray:
@@ -184,6 +226,9 @@ class BatchedBAResult:
         channel (capacity, distribution, iterations, status, gap); the
         shared stack-level diagnostics are attached to every entry.
         """
+        # Imported here: the scalar solver imports this module's step.
+        from .blahut_arimoto import BlahutArimotoResult
+
         return [
             BlahutArimotoResult(
                 capacity=float(self.capacity[i]),
@@ -250,56 +295,88 @@ def blahut_arimoto_batch(
     w = validate_transition_stack(transitions)
     k, nx, _ny = w.shape
     p = _initial_stack(initial_input, k, nx)
-    log_w = masked_log2(w)
 
+    # Per-channel outcomes, filled in as each channel terminates.
     iterations = np.zeros(k, dtype=np.int64)
     status_codes: List[Optional[SolverStatus]] = [None] * k
-    best_gap = np.full(k, np.inf)
-    best_iteration = np.zeros(k, dtype=np.int64)
     out_capacity = np.zeros(k)
-    out_p = p.copy()
+    out_p = np.zeros((k, nx))
     out_gap = np.full(k, np.inf)
     have_best = np.zeros(k, dtype=bool)
     best_capacity = np.zeros(k)
-    best_p = p.copy()
-    active = np.ones(k, dtype=bool)
+    best_p = np.zeros((k, nx))
+    best_gap = np.full(k, np.inf)
     tail: Deque[float] = deque(maxlen=8)
 
+    # The active sub-stack: row i of every ``a_*`` array belongs to
+    # channel ``idx[i]``. It is re-sliced only when channels terminate,
+    # and all active channels share the iteration counter ``it``.
+    idx = np.arange(k)
+    wa, ca, pa = w, _row_entropy_term(w), p
+    a_best_gap = np.full(k, np.inf)
+    a_best_iteration = np.zeros(k, dtype=np.int64)
+    a_best_capacity = np.zeros(k)
+    a_best_p = np.zeros((k, nx))
+    a_have_best = np.zeros(k, dtype=bool)
+    it = 0
+
     with stage("solver"):
-        while active.any():
-            idx = np.nonzero(active)[0]
-            pa = p[idx]
-            d = _divergence_step(pa, w[idx], log_w[idx])
-            capacity = np.einsum("kx,kx->k", pa, d)
-            gap = d.max(axis=1) - capacity
-            iterations[idx] += 1
-            it = iterations[idx]
-            tail.append(float(np.max(gap)))
+        while idx.size:
+            capacity, gap, p_next = _ba_step(pa, wa, ca)
+            it += 1
+            highest = float(gap.max())
+            lowest = float(gap.min())
+            tail.append(highest)
+            # Every gap finite and above tol: the common case. NaN fails
+            # ``tol < lowest``, so it never counts as open.
+            open_gaps = tol < lowest and highest < np.inf
+
+            # Best-so-far bookkeeping, as in IterationGuard.update. When
+            # every channel improves (most iterations), the fresh
+            # arrays the step returned become the best-so-far ones.
+            improved = gap < a_best_gap
+            if not open_gaps:
+                improved &= np.isfinite(gap)
+            if improved.all():
+                a_best_gap, a_best_capacity, a_best_p = gap, capacity, pa
+                a_best_iteration.fill(it)
+                a_have_best.fill(True)
+            elif improved.any():
+                np.copyto(a_best_gap, gap, where=improved)
+                np.copyto(a_best_iteration, it, where=improved)
+                np.copyto(a_best_capacity, capacity, where=improved)
+                np.copyto(a_best_p, pa, where=improved[:, None])
+                a_have_best |= improved
+
+            # Cheap test: each terminal condition below implies that one
+            # of these fails, so the full classification is skipped
+            # while all of them hold.
+            if (
+                it < max_iter
+                and open_gaps
+                and it - int(a_best_iteration.min()) < _STALL_WINDOW
+                and highest
+                <= _DIVERGENCE_FACTOR * max(float(a_best_gap.min()), 1e-30)
+            ):
+                pa = p_next
+                continue
 
             # Classification order mirrors IterationGuard.update:
-            # non-finite -> aborted; best-so-far bookkeeping; gap <= tol
-            # -> converged; divergence vs. best; stall window; max_iter.
+            # non-finite -> aborted; gap <= tol -> converged; divergence
+            # vs. best; stall window; max_iter.
             finite = np.isfinite(gap)
-            improved = finite & (gap < best_gap[idx])
-            imp = idx[improved]
-            best_gap[imp] = gap[improved]
-            best_iteration[imp] = it[improved]
-            best_capacity[imp] = capacity[improved]
-            best_p[imp] = pa[improved]
-            have_best[imp] = True
-
             conv = finite & (gap <= tol)
             div = (
                 finite
                 & ~conv
-                & np.isfinite(best_gap[idx])
-                & (gap > _DIVERGENCE_FACTOR * np.maximum(best_gap[idx], 1e-30))
+                & np.isfinite(a_best_gap)
+                & (gap > _DIVERGENCE_FACTOR * np.maximum(a_best_gap, 1e-30))
             )
             stall = (
                 finite
                 & ~conv
                 & ~div
-                & (it - best_iteration[idx] >= _STALL_WINDOW)
+                & (it - a_best_iteration >= _STALL_WINDOW)
             )
             capped = finite & ~conv & ~div & ~stall & (it >= max_iter)
             aborted = ~finite
@@ -319,14 +396,23 @@ def blahut_arimoto_batch(
                 # Terminal channels keep their *current* iterate here;
                 # non-converged ones are replaced by best-so-far below.
                 t = idx[done]
+                iterations[t] = it
                 out_capacity[t] = capacity[done]
                 out_p[t] = pa[done]
                 out_gap[t] = gap[done]
-                active[t] = False
-            cont = ~done
-            if cont.any():
-                ci = idx[cont]
-                p[ci] = normalized_exp2(safe_log2(pa[cont]) + d[cont], axis=-1)
+                have_best[t] = a_have_best[done]
+                best_capacity[t] = a_best_capacity[done]
+                best_p[t] = a_best_p[done]
+                best_gap[t] = a_best_gap[done]
+                keep = ~done
+                idx = idx[keep]
+                wa, ca, p_next = wa[keep], ca[keep], p_next[keep]
+                a_best_gap = a_best_gap[keep]
+                a_best_iteration = a_best_iteration[keep]
+                a_best_capacity = a_best_capacity[keep]
+                a_best_p = a_best_p[keep]
+                a_have_best = a_have_best[keep]
+            pa = p_next
 
     statuses = tuple(
         s if s is not None else SolverStatus.MAX_ITER for s in status_codes
@@ -383,7 +469,6 @@ def penalized_blahut_arimoto_batch(
     transitions: np.ndarray,
     penalties: np.ndarray,
     *,
-    log_w: Optional[np.ndarray] = None,
     tol: float = 1e-11,
     max_iter: int = 5000,
 ) -> PenalizedBABatchResult:
@@ -391,7 +476,9 @@ def penalized_blahut_arimoto_batch(
 
     The Lagrangian (cost-constrained) Blahut-Arimoto inner step of
     Dinkelbach's method, batched. Converged channels freeze while the
-    rest iterate, exactly like :func:`blahut_arimoto_batch`.
+    rest iterate, exactly like :func:`blahut_arimoto_batch`. The
+    penalties are folded into the row-entropy term once per call, so
+    each iteration is the shared :func:`_ba_step` with ``c - penalties``.
 
     Parameters
     ----------
@@ -401,9 +488,6 @@ def penalized_blahut_arimoto_batch(
     penalties:
         Per-input penalties, shape ``(k, nx)`` (or ``(nx,)`` for a
         1-stack) — ``lambda * tau`` in the timed-DMC solve.
-    log_w:
-        Optional precomputed :func:`repro.numerics.masked_log2` of the
-        stack; constant across an outer loop, so callers hoist it.
     """
     w = np.asarray(transitions, dtype=float)
     if w.ndim == 2:
@@ -414,31 +498,28 @@ def penalized_blahut_arimoto_batch(
         pen = pen[None, :]
     if pen.shape != (k, nx):
         raise ValueError("penalties must have shape (k, nx)")
-    if log_w is None:
-        log_w = masked_log2(w)
-    elif log_w.ndim == 2:
-        log_w = log_w[None, :, :]
 
     p = np.full((k, nx), 1.0 / nx)
     converged = np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=np.int64)
-    active = np.ones(k, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        pa = p[idx]
-        d = _divergence_step(pa, w[idx], log_w[idx]) - pen[idx]
-        value = np.einsum("kx,kx->k", pa, d)
-        gap = d.max(axis=1) - value
-        iterations[idx] += 1
+    # Active sub-stack, re-sliced only when channels terminate.
+    idx = np.arange(k)
+    wa, ca, pa = w, _row_entropy_term(w) - pen, p
+    it = 0
+    while idx.size:
+        _value, gap, p_next = _ba_step(pa, wa, ca)
+        it += 1
         done = gap < tol
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        capped = ~done & (iterations[idx] >= max_iter)
-        active[idx[capped]] = False
-        cont = ~done & ~capped
-        if cont.any():
-            ci = idx[cont]
-            p[ci] = normalized_exp2(safe_log2(pa[cont]) + d[cont], axis=-1)
+        finished = done if it < max_iter else np.ones_like(done)
+        if finished.any():
+            t = idx[finished]
+            converged[t] = done[finished]
+            iterations[t] = it
+            p[t] = pa[finished]
+            keep = ~finished
+            idx = idx[keep]
+            wa, ca, p_next = wa[keep], ca[keep], p_next[keep]
+        pa = p_next
     return PenalizedBABatchResult(
         input_distribution=p, converged=converged, iterations=iterations
     )

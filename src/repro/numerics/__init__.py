@@ -6,7 +6,8 @@ probabilities. This package is the shared substrate that keeps the
 solvers honest there:
 
 * :mod:`.safeops` — log-domain primitives (``safe_log2``,
-  ``logsumexp2``, ``normalized_exp2``) replacing per-solver
+  ``logsumexp2``, ``normalized_exp2``, and the check-free
+  ``floored_log2`` for inner loops validated at entry) replacing per-solver
   ``np.log(np.maximum(x, 1e-300))`` patterns (lint rule NUM001);
 * :mod:`.guard` — :class:`IterationGuard` with NaN/divergence/stall
   detection, the :class:`SolverStatus` taxonomy
@@ -53,6 +54,7 @@ from .profiling import (
 )
 from .safeops import (
     LOG_FLOOR,
+    floored_log2,
     logsumexp2,
     masked_log2,
     normalized_exp,
@@ -65,6 +67,7 @@ __all__ = [
     "LOG_FLOOR",
     "safe_log",
     "safe_log2",
+    "floored_log2",
     "masked_log2",
     "logsumexp2",
     "normalized_exp",

@@ -18,13 +18,12 @@ sweep becomes visible in the run result rather than silent.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
-
-import numpy as np
 
 __all__ = [
     "SolverStatus",
@@ -187,7 +186,7 @@ class IterationGuard:
         self.iterations += 1
         residual = float(residual)
         self._tail.append(residual)
-        if not np.isfinite(residual):
+        if not math.isfinite(residual):
             return self._finish(SolverStatus.ABORTED)
         if residual < self.best_residual:
             self.best_residual = residual
@@ -200,7 +199,7 @@ class IterationGuard:
             return self._finish(SolverStatus.CONVERGED)
         if (
             self.divergence_factor is not None
-            and np.isfinite(self.best_residual)
+            and math.isfinite(self.best_residual)
             and residual > self.divergence_factor * max(self.best_residual, 1e-30)
         ):
             return self._finish(SolverStatus.DIVERGED)

@@ -22,6 +22,7 @@ __all__ = [
     "LOG_FLOOR",
     "safe_log",
     "safe_log2",
+    "floored_log2",
     "masked_log2",
     "logsumexp2",
     "normalized_exp",
@@ -64,6 +65,21 @@ def safe_log2(x: ArrayLike, *, floor: float = LOG_FLOOR) -> np.ndarray:
     Blahut-Arimoto and timed-DMC solvers.
     """
     return np.log2(_floored(x, floor, "safe_log2"))
+
+
+def floored_log2(x: np.ndarray) -> np.ndarray:
+    """Base-2 log of *x* floored at :data:`LOG_FLOOR`, with no domain check.
+
+    The inner-loop twin of :func:`safe_log2` for solvers that validate
+    their inputs once at entry and whose iterates are non-negative by
+    construction (the Blahut-Arimoto step: ``q = pW`` and the softmax
+    iterate ``p``). It skips the per-call negativity scan and floor
+    check, so a negative entry is floored silently instead of raising;
+    anything that cannot prove its argument non-negative uses
+    :func:`safe_log2`.
+    """
+    out = np.maximum(x, LOG_FLOOR)
+    return np.log2(out, out=out)
 
 
 def masked_log2(x: ArrayLike, *, floor: float = LOG_FLOOR) -> np.ndarray:

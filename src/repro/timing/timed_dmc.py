@@ -30,7 +30,6 @@ from ..numerics import (
     IterationGuard,
     SolverDiagnostics,
     SolverStatus,
-    masked_log2,
     record_status,
     stage,
 )
@@ -88,23 +87,21 @@ class TimedDMCResult:
 def _penalized_blahut_arimoto(
     w: np.ndarray,
     penalties: np.ndarray,
-    log_w: np.ndarray,
     *,
     tol: float = 1e-11,
     max_iter: int = 5000,
 ) -> Tuple[np.ndarray, bool]:
     """Maximize ``I(p, W) - sum_x p(x) penalties[x]`` over ``p``.
 
-    Thin 1-stack wrapper over the batched penalized kernel (the numpy
-    step stays pinned — see the module docstring). Returns the
-    maximizer and whether the duality gap met *tol* before the
-    iteration cap; an unconverged inner iterate is reported, never
+    Thin 1-stack wrapper over the batched penalized kernel, which runs
+    the shared Blahut-Arimoto step of :mod:`repro.infotheory.kernels`.
+    Returns the maximizer and whether the duality gap met *tol* before
+    the iteration cap; an unconverged inner iterate is reported, never
     silently returned as if optimal.
     """
     result = penalized_blahut_arimoto_batch(
         w[None, :, :],
         penalties[None, :],
-        log_w=log_w[None, :, :],
         tol=tol,
         max_iter=max_iter,
     )
@@ -166,7 +163,6 @@ def timed_dmc_capacity(
 
     lam = 0.0
     p = np.full(w.shape[0], 1.0 / w.shape[0])
-    log_w = masked_log2(w)
     guard = IterationGuard(
         "timed_dmc", max_iter=max_outer, tol=tol, stall_window=20
     )
@@ -175,7 +171,7 @@ def timed_dmc_capacity(
     with stage("solver"):
         while status is None:
             p, inner_ok = _penalized_blahut_arimoto(
-                w, lam * tau, log_w, max_iter=inner_max_iter
+                w, lam * tau, max_iter=inner_max_iter
             )
             if not inner_ok:
                 unconverged_inner += 1

@@ -18,7 +18,11 @@ from repro.infotheory import (
     penalized_blahut_arimoto_batch,
     validate_transition_stack,
 )
-from repro.infotheory.kernels import BATCH_SOLVER, _divergence_step
+from repro.infotheory.kernels import (
+    BATCH_SOLVER,
+    _ba_step,
+    _row_entropy_term,
+)
 from repro.numerics import SolverStatus, safe_log2
 
 PARITY = 1e-12
@@ -95,6 +99,9 @@ class TestBatchScalarParity:
 
 class TestDivergenceStep:
     def test_matches_scalar_divergence(self):
+        # The shared step's row-entropy form c - W log q must match the
+        # direct sum_y W (log W - log q) on every channel of a stack,
+        # and the 1-D (scalar) call must match the stacked one.
         rng = np.random.default_rng(3)
         k, nx, ny = 4, 3, 5
         w = rng.random((k, nx, ny))
@@ -102,14 +109,24 @@ class TestDivergenceStep:
         p = rng.random((k, nx))
         p /= p.sum(axis=1, keepdims=True)
         log_w = np.where(w > 0, safe_log2(w), 0.0)
-        d = _divergence_step(p, w, log_w)
-        assert d.shape == (k, nx)
+        value, gap, p_next = _ba_step(p, w, _row_entropy_term(w))
+        assert value.shape == gap.shape == (k,)
+        assert p_next.shape == (k, nx)
         for i in range(k):
             q = p[i] @ w[i]
-            expected = np.einsum(
+            d = np.einsum(
                 "xy,xy->x", w[i], log_w[i] - safe_log2(q)[None, :]
             )
-            np.testing.assert_allclose(d[i], expected, atol=1e-13)
+            assert abs(value[i] - p[i] @ d) < 1e-13
+            assert abs(gap[i] - (d.max() - p[i] @ d)) < 1e-13
+            expected = p[i] * np.exp2(d)
+            np.testing.assert_allclose(
+                p_next[i], expected / expected.sum(), atol=1e-15
+            )
+            one = _ba_step(p[i], w[i], _row_entropy_term(w[i]))
+            assert abs(one[0] - value[i]) < 1e-15
+            assert abs(one[1] - gap[i]) < 1e-15
+            np.testing.assert_allclose(one[2], p_next[i], atol=1e-15)
 
 
 class TestBatchSemantics:
